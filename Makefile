@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz verify bench bench-parallel bench-mux bench-trace bench-stream bench-load bench-compare load-smoke cover soak soak-failover soak-drift
+.PHONY: build test race vet fuzz verify bench bench-parallel bench-mux bench-trace bench-stream bench-load bench-compare load-smoke load-mixed-repeat cover soak soak-failover soak-drift
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,13 @@ load-smoke:
 	$(GO) run ./cmd/eevfsload -clients 500 -conns 32 -duration 60s \
 		-rate 2000 -writes 0.1 -streams 0.1 -seed 1 \
 		-report 10s -fail-on-errors -max-p99 2
+
+# The torn-write gate: 20 back-to-back runs of the mixed-load benchmark,
+# whose streamed reads overlap RPC and streamed writes of the same files.
+# Any failed op fails the run, so an in-place (non-rename) write path
+# coming back shows up here as an intermittent "truncated on disk".
+load-mixed-repeat:
+	$(GO) test -run '^$$' -bench 'BenchmarkLoadMixed$$' -benchtime 1x -count 20 ./internal/fs
 
 # Coverage with a ratchet: the total must never drop below the committed
 # COVERAGE_BASELINE. Raise the baseline when coverage durably improves.

@@ -403,44 +403,69 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
+// dialV2 opens a raw connection to addr and sends the EEV2 preface.
+func dialV2(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := proto.WritePreface(conn); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
 func TestMalformedFrameGetsErrorNotCrash(t *testing.T) {
 	_, srv, _ := testCluster(t, 1, nil)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialV2(t, srv.Addr())
 	// A CreateReq frame whose payload is garbage.
-	if err := proto.WriteFrame(conn, proto.TCreateReq, []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}); err != nil {
+	if err := proto.WriteFrameID(conn, proto.TCreateReq, 1, []byte{0xFF, 0xFF, 0xFF, 0xFF, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	ty, _, err := proto.ReadFrame(conn)
+	ty, id, _, err := proto.ReadFrameID(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ty != proto.TError {
-		t.Fatalf("got type %d, want TError", ty)
+	if ty != proto.TError || id != 1 {
+		t.Fatalf("got type %d id %d, want TError for id 1", ty, id)
 	}
 	// The connection is still usable afterwards.
-	_, _, err = proto.RoundTrip(conn, proto.TListReq, nil)
-	if err != nil {
+	if err := proto.WriteFrameID(conn, proto.TListReq, 2, nil); err != nil {
 		t.Fatal(err)
+	}
+	if ty, id, _, err = proto.ReadFrameID(conn); err != nil || ty != proto.TListResp || id != 2 {
+		t.Fatalf("list after error: type=%d id=%d err=%v", ty, id, err)
 	}
 }
 
 func TestUnknownMessageTypeGetsError(t *testing.T) {
 	_, srv, _ := testCluster(t, 1, nil)
-	conn, err := net.Dial("tcp", srv.Addr())
+	conn := dialV2(t, srv.Addr())
+	if err := proto.WriteFrameID(conn, proto.Type(200), 7, nil); err != nil {
+		t.Fatal(err)
+	}
+	ty, id, _, err := proto.ReadFrameHeader(conn)
+	if err != nil || ty != proto.TError || id != 7 {
+		t.Fatalf("type=%d id=%d err=%v", ty, id, err)
+	}
+
+	// A peer that skips the preface is hung up on, not answered: the
+	// server speaks only v2 framing.
+	raw, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if err := proto.WriteFrame(conn, proto.Type(200), nil); err != nil {
+	defer raw.Close()
+	if err := proto.WriteFrame(raw, proto.TListReq, nil); err != nil {
 		t.Fatal(err)
 	}
-	ty, _, err := proto.ReadFrame(conn)
-	if err != nil || ty != proto.TError {
-		t.Fatalf("type=%d err=%v", ty, err)
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// The close shows as EOF, or as a reset when the server hung up with
+	// the frame still unread; a timeout means the server kept listening.
+	if n, err := raw.Read(make([]byte, 1)); n != 0 || err == nil || os.IsTimeout(err) {
+		t.Fatalf("no-preface peer got n=%d err=%v, want the connection closed", n, err)
 	}
 }
 
@@ -727,6 +752,50 @@ func TestNodeRejectsManifestDiskOverflow(t *testing.T) {
 	}
 }
 
+// TestConcurrentCreatesManifestComplete runs 256 concurrent creates on
+// one node and reads manifest.json without closing the node: no save may
+// have failed, and the last snapshot in place must list every file.
+func TestConcurrentCreatesManifestComplete(t *testing.T) {
+	var logBuf bytes.Buffer
+	root := t.TempDir()
+	n, err := StartNode(NodeConfig{
+		Addr: "127.0.0.1:0", RootDir: root, DataDisks: 2,
+		DataModel: disk.ModelType1, BufferModel: disk.ModelType1,
+		Logger: log.New(&logBuf, "", 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	const files = 256
+	var wg sync.WaitGroup
+	for id := 0; id < files; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := n.handleCreate(proto.NodeCreateReq{FileID: int64(id), Size: 100}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if failed := strings.Count(logBuf.String(), "manifest save failed"); failed > 0 {
+		first, _, _ := strings.Cut(logBuf.String(), "\n")
+		t.Fatalf("%d concurrent saves failed, first: %s", failed, first)
+	}
+	raw, err := os.ReadFile(root + "/manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := decodeNodeManifest(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Files) != files {
+		t.Fatalf("manifest lists %d of %d files", len(m.Files), files)
+	}
+}
+
 func TestServerRejectsCorruptState(t *testing.T) {
 	quiet := log.New(io.Discard, "", 0)
 	state := t.TempDir() + "/state.json"
@@ -822,6 +891,47 @@ func TestReadAtPrefetchedServesFromBuffer(t *testing.T) {
 	}
 	if !bytes.Equal(got, content[10:30]) {
 		t.Fatal("buffer ranged read mismatch")
+	}
+}
+
+// TestDamagedBufferCopyFallsBack: when a prefetched file's buffer copy
+// is gone, RPC, ranged and streamed reads all fall back to the data disk.
+func TestDamagedBufferCopyFallsBack(t *testing.T) {
+	cl, _, nodes := testCluster(t, 1, nil)
+	content := patternedContent(7, 3000)
+	if err := cl.Create("d.dat", content); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.Read("d.dat"); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cl.Prefetch(1); err != nil || n != 1 {
+		t.Fatalf("prefetch = %d, %v", n, err)
+	}
+	entries, err := osReadDir(nodes[0].cfg.RootDir + "/buffer")
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("buffer dir = %v, %v", entries, err)
+	}
+	if err := os.Remove(nodes[0].cfg.RootDir + "/buffer/" + entries[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	got, fromBuffer, err := cl.Read("d.dat")
+	if err != nil || fromBuffer || !bytes.Equal(got, content) {
+		t.Fatalf("read: %d bytes, buffer=%v, err=%v", len(got), fromBuffer, err)
+	}
+	got, fromBuffer, err = cl.ReadAt("d.dat", 100, 50)
+	if err != nil || fromBuffer || !bytes.Equal(got, content[100:150]) {
+		t.Fatalf("ranged read: %d bytes, buffer=%v, err=%v", len(got), fromBuffer, err)
+	}
+	r, err := cl.OpenRead("d.dat", StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got, err = io.ReadAll(r)
+	if err != nil || r.FromBuffer() || !bytes.Equal(got, content) {
+		t.Fatalf("streamed read: %d bytes, buffer=%v, err=%v", len(got), r.FromBuffer(), err)
 	}
 }
 

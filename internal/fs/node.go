@@ -145,6 +145,7 @@ type Node struct {
 	hits       int64
 	misses     int64
 	bufWrites  int64
+	saveMu     sync.Mutex // serializes manifest saves
 
 	// Pre-resolved telemetry handles (all no-ops with a nil registry);
 	// hitsC/missesC/bufWritesC mirror the counters above into the
@@ -469,55 +470,159 @@ func (n *Node) diskObserver(nd *nodeDisk, base disk.Observer) disk.Observer {
 	}
 }
 
-// writeDataFile stores content on the data disks: whole-file on the
-// entry's primary disk, or striped across the spindles in parallel.
-func (n *Node) writeDataFile(entry metadata.NodeEntry, data []byte, ra reqAttrib) error {
-	spans := n.stripeSpans(int64(len(data)))
-	if len(spans) == 1 {
-		return n.diskWrite(n.data[entry.Disk], fileName(int64(entry.ID)), data, false, ra)
-	}
-	errs := make([]error, len(spans))
-	var wg sync.WaitGroup
-	off := int64(0)
+// extent is one on-disk piece of a file: the disk it lives on (for
+// latency/energy charging; nil for the JSON metadata files), its path,
+// and its length.
+type extent struct {
+	nd   *nodeDisk
+	path string
+	size int64
+}
+
+// dataSegs is the node's one map from a file to its data-disk extents, in
+// byte order: the whole file on its primary disk, or the stripe chunks
+// round-robined across the spindles from there.
+func (n *Node) dataSegs(entry metadata.NodeEntry) []extent {
+	spans := n.stripeSpans(entry.Size)
+	segs := make([]extent, len(spans))
 	for i, span := range spans {
-		dd := n.data[(entry.Disk+i)%len(n.data)]
-		part := data[off : off+span]
-		wg.Add(1)
-		go func(i int, dd *nodeDisk, part []byte) {
-			defer wg.Done()
-			errs[i] = n.diskWrite(dd, chunkName(int64(entry.ID), i), part, false, ra)
-		}(i, dd, part)
-		off += span
+		nd := n.data[(entry.Disk+i)%len(n.data)]
+		name := chunkName(int64(entry.ID), i)
+		if len(spans) == 1 {
+			name = fileName(int64(entry.ID))
+		}
+		segs[i] = extent{nd: nd, path: filepath.Join(nd.dir, name), size: span}
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	return segs
+}
+
+// bufferSeg is a file's single extent on the buffer disk: a prefetched
+// replica or an unflushed buffered write.
+func (n *Node) bufferSeg(entry metadata.NodeEntry) extent {
+	return extent{nd: n.buffer, path: filepath.Join(n.buffer.dir, fileName(int64(entry.ID))), size: entry.Size}
+}
+
+// segWriter is the one commit primitive. Every file the node lands goes
+// through it (RPC and stream writes, prefetch copies, write-buffer
+// flushes), and so do the node manifest and the server state file
+// (writeJSONAtomic). Each extent is written to a uniquely named temp
+// file beside its final path, and commit renames it into place, so a
+// reader that opens an extent sees the whole old or the whole new
+// version and concurrent writers never share half-written state.
+// Nothing is fsynced: a commit is atomic, not crash-durable.
+type segWriter struct {
+	segs []extent
+	tmps []string // temp names of the extents begun so far
+	f    *os.File // the current extent's temp file
+	rem  int64    // bytes left in the current extent
+}
+
+// write lands b, splitting across extent boundaries as needed.
+func (w *segWriter) write(b []byte) error {
+	for len(b) > 0 {
+		if w.f == nil {
+			if len(w.tmps) == len(w.segs) {
+				return errors.New("fs: write overruns declared size")
+			}
+			seg := w.segs[len(w.tmps)]
+			f, err := os.CreateTemp(filepath.Dir(seg.path), filepath.Base(seg.path)+".*.tmp")
+			if err != nil {
+				return err
+			}
+			w.tmps = append(w.tmps, f.Name())
+			w.f, w.rem = f, seg.size
+		}
+		m := min(int64(len(b)), w.rem)
+		if _, err := w.f.Write(b[:m]); err != nil {
 			return err
+		}
+		b = b[m:]
+		w.rem -= m
+		if w.rem == 0 {
+			err := w.f.Close()
+			w.f = nil
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// readDataFile reassembles content from the data disks.
-func (n *Node) readDataFile(entry metadata.NodeEntry, ra reqAttrib) ([]byte, error) {
-	spans := n.stripeSpans(entry.Size)
-	if len(spans) == 1 {
-		return n.diskRead(n.data[entry.Disk], fileName(int64(entry.ID)), ra)
+// commit renames every completed extent into place. The temp files not
+// renamed stay behind for abandon.
+func (w *segWriter) commit() error {
+	if w.f != nil || len(w.tmps) != len(w.segs) {
+		return errors.New("fs: write ended short of declared size")
 	}
-	parts := make([][]byte, len(spans))
-	errs := make([]error, len(spans))
+	for i, tmp := range w.tmps {
+		if err := os.Rename(tmp, w.segs[i].path); err != nil {
+			w.tmps = w.tmps[i:]
+			return err
+		}
+	}
+	w.tmps = nil
+	return nil
+}
+
+// abandon discards all uncommitted state; after a successful commit it
+// does nothing.
+func (w *segWriter) abandon() {
+	if w.f != nil {
+		w.f.Close()
+		w.f = nil
+	}
+	for _, tmp := range w.tmps {
+		os.Remove(tmp)
+	}
+	w.tmps = nil
+}
+
+// commitBytes lands data on segs in one segWriter commit.
+func commitBytes(segs []extent, data []byte) error {
+	w := &segWriter{segs: segs}
+	defer w.abandon()
+	if err := w.write(data); err != nil {
+		return err
+	}
+	return w.commit()
+}
+
+// writeFile charges each extent's disk for a write of data (costed as a
+// log append on the buffer disk), then commits data to segs. A striped
+// file's extents are charged in parallel, one spindle each.
+func (n *Node) writeFile(segs []extent, data []byte, ra reqAttrib) error {
 	var wg sync.WaitGroup
-	for i := range spans {
-		dd := n.data[(entry.Disk+i)%len(n.data)]
+	for _, seg := range segs {
 		wg.Add(1)
-		go func(i int, dd *nodeDisk) {
+		go func() {
 			defer wg.Done()
-			parts[i], errs[i] = n.diskRead(dd, chunkName(int64(entry.ID), i), ra)
-		}(i, dd)
+			n.chargeDisk(seg.nd, seg.size, seg.nd.isBuffer, ra, "disk.write")
+		}()
+	}
+	wg.Wait()
+	return commitBytes(segs, data)
+}
+
+// readSegs reassembles a file from its extents, reading a striped file's
+// extents in parallel.
+func (n *Node) readSegs(segs []extent, ra reqAttrib) ([]byte, error) {
+	if len(segs) == 1 {
+		return n.diskRead(segs[0], ra)
+	}
+	parts := make([][]byte, len(segs))
+	errs := make([]error, len(segs))
+	var wg sync.WaitGroup
+	for i, seg := range segs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i], errs[i] = n.diskRead(seg, ra)
+		}()
 	}
 	wg.Wait()
 	var out []byte
-	for i := range spans {
+	for i := range segs {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
@@ -526,12 +631,75 @@ func (n *Node) readDataFile(entry metadata.NodeEntry, ra reqAttrib) ([]byte, err
 	return out, nil
 }
 
-// removeDataFile deletes whole-file and chunk representations.
-func (n *Node) removeDataFile(entry metadata.NodeEntry) {
-	os.Remove(filepath.Join(n.data[entry.Disk].dir, fileName(int64(entry.ID))))
-	for i := range n.stripeSpans(entry.Size) {
-		dd := n.data[(entry.Disk+i)%len(n.data)]
-		os.Remove(filepath.Join(dd.dir, chunkName(int64(entry.ID), i)))
+// readFrom serves one read of entry through read and counts it as a
+// buffer hit or miss. The buffer disk serves when it holds the newest
+// copy (a prefetched replica or an unflushed buffered write); the data
+// extents serve otherwise, and also when the buffer copy fails.
+func (n *Node) readFrom(entry metadata.NodeEntry, read func(segs []extent) error) (fromBuffer bool, err error) {
+	n.mu.Lock()
+	_, isDirty := n.dirty[entry.ID]
+	n.mu.Unlock()
+	if entry.Prefetched || isDirty {
+		err := read([]extent{n.bufferSeg(entry)})
+		if err == nil {
+			n.mu.Lock()
+			n.hits++
+			n.mu.Unlock()
+			n.hitsC.Inc()
+			return true, nil
+		}
+		n.logger.Printf("buffer read of file %d failed, falling back: %v", entry.ID, err)
+	}
+	if err := read(n.dataSegs(entry)); err != nil {
+		return false, err
+	}
+	n.mu.Lock()
+	n.misses++
+	n.mu.Unlock()
+	n.missesC.Inc()
+	return false, nil
+}
+
+// writeTarget picks where a write of size bytes lands: the buffer disk's
+// log when write buffering is on and the buffer has room, otherwise the
+// data extents laid out for the new size.
+func (n *Node) writeTarget(entry metadata.NodeEntry, size int64) (segs []extent, buffered bool) {
+	entry.Size = size
+	if n.cfg.WriteBuffer && n.bufferHasRoom(size) {
+		return []extent{n.bufferSeg(entry)}, true
+	}
+	return n.dataSegs(entry), false
+}
+
+// afterWrite is the metadata step after a committed write of size bytes.
+// A buffered write joins the dirty map and the data disks stay asleep
+// until flush. A direct write supersedes any buffer-disk copy, so a stale
+// prefetched replica or unflushed log entry is dropped and reads cannot
+// see old content.
+func (n *Node) afterWrite(entry metadata.NodeEntry, size int64, buffered bool) {
+	n.mu.Lock()
+	_, wasDirty := n.dirty[entry.ID]
+	if buffered {
+		n.dirty[entry.ID] = size
+		n.bufWrites++
+	} else {
+		delete(n.dirty, entry.ID)
+	}
+	n.mu.Unlock()
+	stale := !buffered && (entry.Prefetched || wasDirty)
+	if buffered {
+		n.bufWritesC.Inc()
+	} else if stale {
+		n.meta.SetPrefetched(entry.ID, false)
+		entry.Prefetched = false
+		os.Remove(n.bufferSeg(entry).path)
+	}
+	if size != entry.Size {
+		entry.Size = size
+		_ = n.meta.Put(entry)
+	}
+	if buffered || stale {
+		n.saveManifest()
 	}
 }
 
@@ -561,89 +729,34 @@ func (n *Node) handleWrite(req proto.NodeWriteReq, sp *telemetry.Span) (bool, er
 	if !ok {
 		return false, fmt.Errorf("fs: write to unknown file %d", req.FileID)
 	}
-	n.noteAccess(int(req.FileID))
-	name := fileName(req.FileID)
-	ra := spanAttrib(sp, req.FileID)
-
-	if n.cfg.WriteBuffer && n.bufferHasRoom(int64(len(req.Data))) {
-		// Append-style write into the buffer disk's log area; the data
-		// disk stays asleep. Flush happens lazily.
-		if err := n.diskWrite(n.buffer, name, req.Data, true, ra); err != nil {
-			return false, err
-		}
-		n.mu.Lock()
-		n.dirty[int(req.FileID)] = int64(len(req.Data))
-		n.bufWrites++
-		n.mu.Unlock()
-		n.bufWritesC.Inc()
-		n.updateSize(entry, len(req.Data))
-		n.saveManifest()
-		return true, nil
+	if len(req.Data) == 0 {
+		return false, fmt.Errorf("fs: write of file %d with no data", req.FileID)
 	}
-
-	if err := n.writeDataFile(entry, req.Data, ra); err != nil {
+	n.noteAccess(int(req.FileID))
+	size := int64(len(req.Data))
+	segs, buffered := n.writeTarget(entry, size)
+	if err := n.writeFile(segs, req.Data, spanAttrib(sp, req.FileID)); err != nil {
 		return false, err
 	}
-	// A direct write supersedes any buffer-disk copy: drop stale
-	// prefetched replicas and unflushed log entries so reads cannot see
-	// old content.
-	n.mu.Lock()
-	_, wasDirty := n.dirty[int(req.FileID)]
-	delete(n.dirty, int(req.FileID))
-	n.mu.Unlock()
-	if entry.Prefetched || wasDirty {
-		n.meta.SetPrefetched(int(req.FileID), false)
-		os.Remove(filepath.Join(n.buffer.dir, name))
-		n.saveManifest()
-	}
-	n.updateSize(entry, len(req.Data))
-	return false, nil
+	n.afterWrite(entry, size, buffered)
+	return buffered, nil
 }
 
-func (n *Node) updateSize(entry metadata.NodeEntry, size int) {
-	if int64(size) != entry.Size && size > 0 {
-		entry.Size = int64(size)
-		_ = n.meta.Put(entry)
-	}
-}
-
-func (n *Node) handleRead(fileID int64, sp *telemetry.Span) ([]byte, bool, error) {
+func (n *Node) handleRead(fileID int64, sp *telemetry.Span) (data []byte, fromBuffer bool, err error) {
 	entry, ok := n.meta.Lookup(int(fileID))
 	if !ok {
 		return nil, false, fmt.Errorf("fs: read of unknown file %d", fileID)
 	}
 	n.noteAccess(int(fileID))
-	name := fileName(fileID)
 	ra := spanAttrib(sp, fileID)
-
-	n.mu.Lock()
-	_, isDirty := n.dirty[int(fileID)]
-	n.mu.Unlock()
-
-	// Serve from the buffer disk when it holds the newest copy: either a
-	// prefetched replica or an unflushed buffered write.
-	if entry.Prefetched || isDirty {
-		data, err := n.diskRead(n.buffer, name, ra)
-		if err == nil {
-			n.mu.Lock()
-			n.hits++
-			n.mu.Unlock()
-			n.hitsC.Inc()
-			return data, true, nil
-		}
-		// Fall through to the data disk on buffer damage.
-		n.logger.Printf("buffer read of file %d failed, falling back: %v", fileID, err)
-	}
-
-	data, err := n.readDataFile(entry, ra)
+	fromBuffer, err = n.readFrom(entry, func(segs []extent) (err error) {
+		data, err = n.readSegs(segs, ra)
+		return err
+	})
 	if err != nil {
 		return nil, false, err
 	}
-	n.mu.Lock()
-	n.misses++
-	n.mu.Unlock()
-	n.missesC.Inc()
-	return data, false, nil
+	return data, fromBuffer, nil
 }
 
 func (n *Node) handleDelete(fileID int64) error {
@@ -654,8 +767,10 @@ func (n *Node) handleDelete(fileID int64) error {
 	n.mu.Lock()
 	delete(n.dirty, int(fileID))
 	n.mu.Unlock()
-	os.Remove(filepath.Join(n.buffer.dir, fileName(fileID)))
-	n.removeDataFile(entry)
+	os.Remove(n.bufferSeg(entry).path)
+	for _, seg := range n.dataSegs(entry) {
+		os.Remove(seg.path)
+	}
 	n.meta.Delete(int(fileID))
 	n.saveManifest()
 	return nil
@@ -708,12 +823,12 @@ func (n *Node) handlePrefetch(ids []int64, sp *telemetry.Span) int64 {
 			}
 		}
 		ra := spanAttrib(sp, id)
-		data, err := n.readDataFile(entry, ra)
+		data, err := n.readSegs(n.dataSegs(entry), ra)
 		if err != nil {
 			n.logger.Printf("prefetch read of file %d failed: %v", id, err)
 			continue
 		}
-		if err := n.diskWrite(n.buffer, fileName(id), data, true, ra); err != nil {
+		if err := n.writeFile([]extent{n.bufferSeg(entry)}, data, ra); err != nil {
 			n.logger.Printf("prefetch write of file %d failed: %v", id, err)
 			continue
 		}
@@ -743,77 +858,36 @@ func (n *Node) handleReadAt(req proto.NodeReadAtReq, sp *telemetry.Span) ([]byte
 	}
 
 	ra := spanAttrib(sp, req.FileID)
-	n.mu.Lock()
-	_, isDirty := n.dirty[int(req.FileID)]
-	n.mu.Unlock()
-
-	if entry.Prefetched || isDirty {
-		data, err := n.diskReadAt(n.buffer, fileName(req.FileID), req.Offset, req.Length, ra)
-		if err == nil {
-			n.mu.Lock()
-			n.hits++
-			n.mu.Unlock()
-			n.hitsC.Inc()
-			return data, true, nil
-		}
-		n.logger.Printf("buffer ranged read of file %d failed, falling back: %v", req.FileID, err)
-	}
-
-	spans := n.stripeSpans(entry.Size)
-	if len(spans) == 1 {
-		data, err := n.diskReadAt(n.data[entry.Disk], fileName(req.FileID), req.Offset, req.Length, ra)
-		if err != nil {
-			return nil, false, err
-		}
-		n.mu.Lock()
-		n.misses++
-		n.mu.Unlock()
-		n.missesC.Inc()
-		return data, false, nil
-	}
-
-	// Striped: visit only the chunks the range overlaps.
 	var out []byte
-	chunkStart := int64(0)
-	for i, span := range spans {
-		chunkEnd := chunkStart + span
+	fromBuffer, err := n.readFrom(entry, func(segs []extent) error {
+		// Visit only the extents the range overlaps.
+		out = nil
 		lo, hi := req.Offset, req.Offset+req.Length
-		if hi > chunkStart && lo < chunkEnd {
-			from := max64(lo, chunkStart) - chunkStart
-			to := min64(hi, chunkEnd) - chunkStart
-			dd := n.data[(entry.Disk+i)%len(n.data)]
-			part, err := n.diskReadAt(dd, chunkName(req.FileID, i), from, to-from, ra)
-			if err != nil {
-				return nil, false, err
+		start := int64(0)
+		for _, seg := range segs {
+			end := start + seg.size
+			if hi > start && lo < end {
+				from, to := max(lo, start)-start, min(hi, end)-start
+				part, err := n.diskReadAt(seg, from, to-from, ra)
+				if err != nil {
+					return err
+				}
+				out = append(out, part...)
 			}
-			out = append(out, part...)
+			start = end
 		}
-		chunkStart = chunkEnd
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	n.mu.Lock()
-	n.misses++
-	n.mu.Unlock()
-	n.missesC.Inc()
-	return out, false, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return out, fromBuffer, nil
 }
 
 // diskReadAt performs a modeled ranged read: wake if needed, charge the
 // service latency of the range (not the whole file).
-func (n *Node) diskReadAt(nd *nodeDisk, name string, off, length int64, ra reqAttrib) (data []byte, err error) {
+func (n *Node) diskReadAt(seg extent, off, length int64, ra reqAttrib) (data []byte, err error) {
+	nd := seg.nd
 	sp := ra.span.Child("disk.readat")
 	sp.Annotate("disk", nd.label)
 	defer func() { sp.End(err) }()
@@ -823,7 +897,7 @@ func (n *Node) diskReadAt(nd *nodeDisk, name string, off, length int64, ra reqAt
 	defer nd.endWork()
 	n.wakeLocked(nd, sp)
 
-	f, err := os.Open(filepath.Join(nd.dir, name))
+	f, err := os.Open(seg.path)
 	if err != nil {
 		return nil, err
 	}
@@ -920,13 +994,14 @@ func (n *Node) flushOne(id int) {
 	if !ok {
 		return
 	}
-	name := fileName(int64(id))
-	data, err := n.diskRead(n.buffer, name, reqAttrib{})
+	buf := n.bufferSeg(entry)
+	data, err := n.diskRead(buf, reqAttrib{})
 	if err != nil {
 		n.logger.Printf("flush read of file %d failed: %v", id, err)
 		return
 	}
-	if err := n.writeDataFile(entry, data, reqAttrib{}); err != nil {
+	entry.Size = int64(len(data))
+	if err := n.writeFile(n.dataSegs(entry), data, reqAttrib{}); err != nil {
 		n.logger.Printf("flush write of file %d failed: %v", id, err)
 		return
 	}
@@ -936,7 +1011,7 @@ func (n *Node) flushOne(id int) {
 	n.flushesC.Inc()
 	// Drop the buffer copy unless it doubles as a prefetched replica.
 	if !entry.Prefetched {
-		os.Remove(filepath.Join(n.buffer.dir, name))
+		os.Remove(buf.path)
 	}
 	n.saveManifest()
 }
@@ -954,7 +1029,8 @@ func (nd *nodeDisk) endWork() {
 
 // diskRead performs a modeled read on the given disk: wake if needed,
 // charge service latency, account energy, rearm the idle timer.
-func (n *Node) diskRead(nd *nodeDisk, name string, ra reqAttrib) (data []byte, err error) {
+func (n *Node) diskRead(seg extent, ra reqAttrib) (data []byte, err error) {
+	nd := seg.nd
 	sp := ra.span.Child("disk.read")
 	sp.Annotate("disk", nd.label)
 	defer func() { sp.End(err) }()
@@ -964,8 +1040,7 @@ func (n *Node) diskRead(nd *nodeDisk, name string, ra reqAttrib) (data []byte, e
 	defer nd.endWork()
 	n.wakeLocked(nd, sp)
 
-	path := filepath.Join(nd.dir, name)
-	data, err = os.ReadFile(path)
+	data, err = os.ReadFile(seg.path)
 	if err != nil {
 		return nil, err
 	}
@@ -973,24 +1048,20 @@ func (n *Node) diskRead(nd *nodeDisk, name string, ra reqAttrib) (data []byte, e
 	return data, nil
 }
 
-// diskWrite performs a modeled write; sequential=true uses the buffer
-// disk's log-append cost model.
-func (n *Node) diskWrite(nd *nodeDisk, name string, data []byte, sequential bool, ra reqAttrib) (err error) {
-	sp := ra.span.Child("disk.write")
+// chargeDisk runs the modeled-disk accounting for size bytes on nd —
+// wake a sleeping spindle, charge service time, attribute the energy —
+// without performing the file I/O itself. op names the disk-level child
+// span; sequential selects the buffer disk's log-append cost model.
+func (n *Node) chargeDisk(nd *nodeDisk, size int64, sequential bool, ra reqAttrib, op string) {
+	sp := ra.span.Child(op)
 	sp.Annotate("disk", nd.label)
-	defer func() { sp.End(err) }()
+	defer sp.Finish()
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	nd.beginWork(ra, sp)
 	defer nd.endWork()
 	n.wakeLocked(nd, sp)
-
-	path := filepath.Join(nd.dir, name)
-	if err = os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	n.serviceLocked(nd, int64(len(data)), sequential)
-	return nil
+	n.serviceLocked(nd, size, sequential)
 }
 
 // diskNow returns the current model time for one disk, floored at the

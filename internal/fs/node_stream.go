@@ -10,10 +10,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
-	"eevfs/internal/metadata"
 	"eevfs/internal/proto"
 	"eevfs/internal/telemetry"
 )
@@ -43,47 +41,6 @@ func (n *Node) dispatchStream(t proto.Type, payload []byte, sc telemetry.SpanCon
 	sp.End(err)
 }
 
-// streamSeg is one on-disk extent of a streamed file: the disk it lives
-// on (for latency/energy charging), its path, and its length.
-type streamSeg struct {
-	nd   *nodeDisk
-	path string
-	size int64
-}
-
-// chargeDisk runs the modeled-disk accounting for size bytes on nd —
-// wake a sleeping spindle, charge service time, attribute the energy —
-// without performing the file I/O itself (the stream loop does that
-// incrementally). op names the disk-level child span.
-func (n *Node) chargeDisk(nd *nodeDisk, size int64, sequential bool, ra reqAttrib, op string) {
-	sp := ra.span.Child(op)
-	sp.Annotate("disk", nd.label)
-	defer sp.Finish()
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.beginWork(ra, sp)
-	defer nd.endWork()
-	n.wakeLocked(nd, sp)
-	n.serviceLocked(nd, size, sequential)
-}
-
-// dataSegs lists the data-disk extents of entry in byte order: the whole
-// file on its primary disk, or the stripe chunks round-robined across
-// the spindles.
-func (n *Node) dataSegs(entry metadata.NodeEntry) []streamSeg {
-	spans := n.stripeSpans(entry.Size)
-	if len(spans) == 1 {
-		nd := n.data[entry.Disk]
-		return []streamSeg{{nd: nd, path: filepath.Join(nd.dir, fileName(int64(entry.ID))), size: entry.Size}}
-	}
-	segs := make([]streamSeg, len(spans))
-	for i, span := range spans {
-		nd := n.data[(entry.Disk+i)%len(n.data)]
-		segs[i] = streamSeg{nd: nd, path: filepath.Join(nd.dir, chunkName(int64(entry.ID), i)), size: span}
-	}
-	return segs
-}
-
 // handleStreamRead streams one file to the peer: open response first,
 // then data chunks under the peer-granted credit window, then a clean
 // end. One pooled chunk buffer is resident per stream regardless of file
@@ -96,43 +53,46 @@ func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st 
 	n.noteAccess(int(req.FileID))
 	ra := spanAttrib(sp, req.FileID)
 
-	n.mu.Lock()
-	_, isDirty := n.dirty[int(req.FileID)]
-	n.mu.Unlock()
-
-	// Source selection mirrors handleRead: the buffer disk when it holds
-	// the newest copy (prefetched replica or unflushed buffered write),
-	// the data disks otherwise — including fallback on buffer damage.
-	var segs []streamSeg
-	fromBuffer := false
-	if entry.Prefetched || isDirty {
-		path := filepath.Join(n.buffer.dir, fileName(int64(entry.ID)))
-		if _, err := os.Stat(path); err == nil {
-			segs = []streamSeg{{nd: n.buffer, path: path, size: entry.Size}}
-			fromBuffer = true
-		} else {
-			n.logger.Printf("buffer stream of file %d failed, falling back: %v", req.FileID, err)
+	// Open every extent before the first byte moves. An open file keeps
+	// the version it opened even when a writer renames a new one into
+	// place, so each extent streams whole; its length comes from the
+	// opened file, not from the possibly older metadata entry.
+	var segs []extent
+	var files []*os.File
+	closeAll := func() {
+		for _, f := range files {
+			f.Close()
 		}
+		files = nil
 	}
-	if segs == nil {
-		segs = n.dataSegs(entry)
-	}
-	if fromBuffer {
-		n.mu.Lock()
-		n.hits++
-		n.mu.Unlock()
-		n.hitsC.Inc()
-	} else {
-		n.mu.Lock()
-		n.misses++
-		n.mu.Unlock()
-		n.missesC.Inc()
+	defer closeAll()
+	fromBuffer, err := n.readFrom(entry, func(src []extent) error {
+		closeAll() // a failed buffer attempt's files
+		segs = src
+		for i := range src {
+			f, err := os.Open(src[i].path)
+			if err != nil {
+				return err
+			}
+			files = append(files, f)
+			fi, err := f.Stat()
+			if err != nil {
+				return err
+			}
+			src[i].size = fi.Size()
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	// Charge the modeled disks up front (spin-up + full service time, as
 	// the RPC read does), then move the bytes at wire speed.
+	size := int64(0)
 	for _, seg := range segs {
 		n.chargeDisk(seg.nd, seg.size, false, ra, "disk.stream.read")
+		size += seg.size
 	}
 
 	chunk := proto.NegotiateChunk(req.ChunkSize, n.cfg.StreamChunkBytes)
@@ -140,7 +100,7 @@ func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st 
 	st.grantCredits(window)
 	resp := proto.StreamOpenResp{
 		FromBuffer: fromBuffer,
-		Size:       entry.Size,
+		Size:       size,
 		ChunkSize:  uint32(chunk),
 		Window:     uint32(window),
 	}
@@ -150,105 +110,22 @@ func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st 
 
 	buf := proto.GetChunk(chunk)
 	defer proto.PutChunk(buf)
-	sent := int64(0)
-	for _, seg := range segs {
-		f, err := os.Open(seg.path)
-		if err != nil {
-			return err
-		}
-		remaining := seg.size
-		for remaining > 0 {
-			m := int64(chunk)
-			if remaining < m {
-				m = remaining
-			}
-			if _, err := io.ReadFull(f, buf[:m]); err != nil {
-				f.Close()
+	for i, seg := range segs {
+		for remaining := seg.size; remaining > 0; {
+			m := min(int64(chunk), remaining)
+			if _, err := io.ReadFull(files[i], buf[:m]); err != nil {
 				return fmt.Errorf("fs: file %d truncated on disk: %w", req.FileID, err)
 			}
 			if err := st.sendData(buf[:m], proto.StreamStallTimeout(n.cfg.WriteTimeout)); err != nil {
-				f.Close()
 				return err
 			}
 			remaining -= m
-			sent += m
 			n.streamChunksC.Inc()
 			n.streamBytesC.Add(m)
 		}
-		f.Close()
 	}
-	sp.Annotate("stream.bytes", fmt.Sprint(sent))
+	sp.Annotate("stream.bytes", fmt.Sprint(size))
 	return st.sendEnd(false)
-}
-
-// segWriter lands an inbound byte stream across the on-disk extents of a
-// file, writing each as a ".part" sibling that commit renames into
-// place — an aborted stream never leaves a half-written visible file.
-type segWriter struct {
-	segs []streamSeg
-	idx  int
-	f    *os.File
-	rem  int64 // bytes left in the current segment
-}
-
-func newSegWriter(segs []streamSeg) *segWriter { return &segWriter{segs: segs} }
-
-// write lands b, splitting across segment boundaries as needed.
-func (w *segWriter) write(b []byte) error {
-	for len(b) > 0 {
-		if w.f == nil {
-			if w.idx >= len(w.segs) {
-				return fmt.Errorf("fs: stream write overruns declared size")
-			}
-			f, err := os.Create(w.segs[w.idx].path + ".part")
-			if err != nil {
-				return err
-			}
-			w.f, w.rem = f, w.segs[w.idx].size
-		}
-		m := int64(len(b))
-		if m > w.rem {
-			m = w.rem
-		}
-		if _, err := w.f.Write(b[:m]); err != nil {
-			return err
-		}
-		b = b[m:]
-		w.rem -= m
-		if w.rem == 0 {
-			err := w.f.Close()
-			w.f = nil
-			w.idx++
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// commit renames every completed ".part" file into place.
-func (w *segWriter) commit() error {
-	if w.f != nil || w.idx != len(w.segs) {
-		return fmt.Errorf("fs: stream write ended short of declared size")
-	}
-	for _, seg := range w.segs {
-		if err := os.Rename(seg.path+".part", seg.path); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// abandon discards all partial state.
-func (w *segWriter) abandon() {
-	if w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-	for _, seg := range w.segs {
-		os.Remove(seg.path + ".part")
-	}
 }
 
 // handleStreamWrite receives one file from the peer under a node-granted
@@ -265,19 +142,7 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 	}
 	n.noteAccess(int(req.FileID))
 	ra := spanAttrib(sp, req.FileID)
-	name := fileName(req.FileID)
-
-	buffered := n.cfg.WriteBuffer && n.bufferHasRoom(req.Size)
-	var segs []streamSeg
-	if buffered {
-		segs = []streamSeg{{nd: n.buffer, path: filepath.Join(n.buffer.dir, name), size: req.Size}}
-	} else {
-		// Placement must match what a later readDataFile will look for:
-		// recompute the extents at the incoming size.
-		sized := entry
-		sized.Size = req.Size
-		segs = n.dataSegs(sized)
-	}
+	segs, buffered := n.writeTarget(entry, req.Size)
 	for _, seg := range segs {
 		n.chargeDisk(seg.nd, seg.size, seg.nd.isBuffer, ra, "disk.stream.write")
 	}
@@ -294,13 +159,13 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 		return err
 	}
 
-	w := newSegWriter(segs)
+	w := &segWriter{segs: segs}
+	defer w.abandon() // no-op once committed
 	received := int64(0)
 	sinceCredit := 0
 	for {
 		msg, err := st.recvMsg(proto.StreamStallTimeout(n.cfg.WriteTimeout))
 		if err != nil {
-			w.abandon()
 			return err
 		}
 		switch msg.t {
@@ -308,13 +173,11 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 			m := int64(len(msg.payload))
 			if received+m > req.Size {
 				proto.PutChunk(msg.payload)
-				w.abandon()
 				return fmt.Errorf("fs: stream write of file %d overran declared size %d", req.FileID, req.Size)
 			}
 			werr := w.write(msg.payload)
 			proto.PutChunk(msg.payload)
 			if werr != nil {
-				w.abandon()
 				return werr
 			}
 			received += m
@@ -324,59 +187,26 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 			sinceCredit++
 			if sinceCredit >= window/2 || sinceCredit >= window {
 				if err := st.sendFrame(proto.TStreamCredit, proto.StreamCredit{N: uint32(sinceCredit)}.Encode()); err != nil {
-					w.abandon()
 					return err
 				}
 				sinceCredit = 0
 			}
 		case proto.TStreamEnd:
 			if received != req.Size {
-				w.abandon()
 				return fmt.Errorf("fs: stream write of file %d ended at %d of %d bytes",
 					req.FileID, received, req.Size)
 			}
 			if err := w.commit(); err != nil {
-				w.abandon()
 				return err
 			}
-			n.commitStreamWrite(entry, req, buffered, name)
+			n.afterWrite(entry, req.Size, buffered)
 			sp.Annotate("stream.bytes", fmt.Sprint(received))
 			return st.sendEnd(buffered)
 		case proto.TStreamAbort:
-			w.abandon()
 			return decodeStreamAbort(msg.payload)
 		default:
-			w.abandon()
 			st.conn.Close()
 			return fmt.Errorf("fs: unexpected frame type %d on write stream", msg.t)
 		}
 	}
-}
-
-// commitStreamWrite applies the RPC write path's metadata transitions to
-// a committed streamed write.
-func (n *Node) commitStreamWrite(entry metadata.NodeEntry, req proto.StreamOpenReq, buffered bool, name string) {
-	if buffered {
-		n.mu.Lock()
-		n.dirty[int(req.FileID)] = req.Size
-		n.bufWrites++
-		n.mu.Unlock()
-		n.bufWritesC.Inc()
-		n.updateSize(entry, int(req.Size))
-		n.saveManifest()
-		return
-	}
-	// A direct write supersedes any buffer-disk copy: drop stale
-	// prefetched replicas and unflushed log entries so reads cannot see
-	// old content.
-	n.mu.Lock()
-	_, wasDirty := n.dirty[int(req.FileID)]
-	delete(n.dirty, int(req.FileID))
-	n.mu.Unlock()
-	if entry.Prefetched || wasDirty {
-		n.meta.SetPrefetched(int(req.FileID), false)
-		os.Remove(filepath.Join(n.buffer.dir, name))
-		n.saveManifest()
-	}
-	n.updateSize(entry, int(req.Size))
 }

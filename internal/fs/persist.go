@@ -44,7 +44,11 @@ func (n *Node) manifestPath() string {
 }
 
 // saveManifest snapshots the node's metadata. Callers must not hold n.mu.
+// saveMu serializes saves, so an older snapshot can never be the last
+// one renamed into place.
 func (n *Node) saveManifest() {
+	n.saveMu.Lock()
+	defer n.saveMu.Unlock()
 	n.mu.Lock()
 	m := nodeManifest{Version: manifestVersion, NextDisk: n.nextDisk}
 	for id, size := range n.dirty {
@@ -138,8 +142,8 @@ type serverFileEntry struct {
 // stripe at a time — no global lock exists to freeze the whole namespace,
 // so concurrent mutations may or may not appear; each stripe is
 // internally consistent and the final mutation of any burst triggers its
-// own save. saveMu serializes writers so snapshots cannot interleave on
-// the temp file.
+// own save. saveMu serializes writers, so an older snapshot can never be
+// the last one renamed into place.
 func (s *Server) saveState() {
 	if s.cfg.StateFile == "" {
 		return
@@ -219,15 +223,12 @@ func (s *Server) loadState() error {
 	return nil
 }
 
-// writeJSONAtomic writes v as indented JSON via a temp file + rename.
+// writeJSONAtomic writes v as indented JSON through segWriter, the one
+// commit primitive: a uniquely named temp file renamed over path.
 func writeJSONAtomic(path string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return commitBytes([]extent{{path: path, size: int64(len(data))}}, data)
 }

@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -84,7 +83,7 @@ func acceptConns(ln net.Listener, logf func(format string, args ...any), accept 
 // frame. sc is the trace context extracted from the frame (zero when
 // untraced). A returned error becomes a TError frame; the connection
 // stays up either way (malformed payloads answer with an error rather
-// than a hangup, matching the v1 behavior the tests pin).
+// than a hangup).
 type handlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext) (proto.Type, []byte, error)
 
 // streamHandlerFunc serves one open stream (DESIGN.md §19): t is the
@@ -94,20 +93,15 @@ type handlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext) (p
 // frame (end or abort) unless the connection itself is dead.
 type streamHandlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanContext, st *srvStream)
 
-// serveFrames drives one accepted connection until it dies, speaking
-// whichever protocol version the peer opened with:
-//
-//   - v2 (the 4-byte EEV2 preface): requests are dispatched to a bounded
-//     pool of worker goroutines, so many round trips from one peer are
-//     serviced concurrently; responses carry the request's id and are
-//     written whole under a per-connection mutex (ordered, never
-//     interleaved), in whatever order the handlers finish. Stream opens
-//     spawn a dedicated handler goroutine outside the worker pool
-//     (bounded by lim.streams instead), and later frames of an open
-//     stream are routed to it by id.
-//   - v1 (no preface — the first four bytes are a frame length):
-//     requests are served one at a time, in order, exactly as before the
-//     multiplexed framing existed. Streams are v2-only.
+// serveFrames drives one accepted connection until it dies. The peer
+// must open with the 4-byte EEV2 preface; any other opening closes the
+// connection. Requests are dispatched to a bounded pool of worker
+// goroutines, so many round trips from one peer are serviced
+// concurrently; responses carry the request's id and are written whole
+// under a per-connection mutex (ordered, never interleaved), in whatever
+// order the handlers finish. Stream opens spawn a dedicated handler
+// goroutine outside the worker pool (bounded by lim.streams instead), and
+// later frames of an open stream are routed to it by id.
 //
 // writeTimeout bounds each response write so a stalled peer cannot pin
 // a handler goroutine. shandle may be nil: stream opens then answer with
@@ -115,37 +109,11 @@ type streamHandlerFunc func(t proto.Type, payload []byte, sc telemetry.SpanConte
 // does not serve file bytes).
 func serveFrames(conn net.Conn, writeTimeout time.Duration, handle handlerFunc, shandle streamHandlerFunc, lim connLimits) {
 	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
+	if _, err := io.ReadFull(conn, first[:]); err != nil || binary.BigEndian.Uint32(first[:]) != proto.MagicV2 {
 		return
 	}
 	dc := &deadlineConn{Conn: conn, writeTimeout: writeTimeout}
-	if binary.BigEndian.Uint32(first[:]) == proto.MagicV2 {
-		serveV2(conn, dc, handle, shandle, lim.withDefaults())
-		return
-	}
-	// v1 peer: replay the sniffed bytes as the first frame's length.
-	serveV1(io.MultiReader(bytes.NewReader(first[:]), conn), dc, handle)
-}
-
-func serveV1(r io.Reader, w io.Writer, handle handlerFunc) {
-	for {
-		t, payload, err := proto.ReadFrame(r)
-		if err != nil {
-			return
-		}
-		t, payload, sc, herr := proto.ExtractContext(t, payload)
-		var rt proto.Type
-		var rp []byte
-		if herr == nil {
-			rt, rp, herr = handle(t, payload, sc)
-		}
-		if herr != nil {
-			rt, rp = proto.TError, errorPayload(herr)
-		}
-		if err := proto.WriteFrame(w, rt, rp); err != nil {
-			return
-		}
-	}
+	serveV2(conn, dc, handle, shandle, lim.withDefaults())
 }
 
 // srvMsg is one inbound frame of a server-side stream. Data payloads are

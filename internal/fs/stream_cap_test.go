@@ -94,8 +94,8 @@ func (r *errAfterReader) Read(p []byte) (int, error) {
 
 // TestWriteFromSourceFailureLeavesFileIntact pins WriteFrom's failure
 // path: the source reader dying mid-copy surfaces its error and the
-// file's previous content stays visible (the .part protocol never
-// exposes the partial write).
+// file's previous content stays visible (a commit renames whole
+// extents into place, so the partial write is never exposed).
 func TestWriteFromSourceFailureLeavesFileIntact(t *testing.T) {
 	cl, _, _ := testCluster(t, 1, nil)
 	old := patternedContent(7, 4<<10)

@@ -110,8 +110,8 @@ func TestChaosStreamCorruptionFailsTyped(t *testing.T) {
 
 // TestChaosStreamWriteKillLeavesFileIntact: killing the connection in
 // the middle of a streamed write must fail the writer typed and leave
-// the previous file content untouched (the .part protocol never exposes
-// a half-written file).
+// the previous file content untouched (a commit renames whole extents
+// into place, so a half-written file is never exposed).
 func TestChaosStreamWriteKillLeavesFileIntact(t *testing.T) {
 	cl, _, nodes, _, clientNet := chaosCluster(t, 1)
 	old := patternedContent(23, 64<<10)

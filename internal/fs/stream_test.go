@@ -293,7 +293,10 @@ func TestStreamWriteSizeMismatchRejected(t *testing.T) {
 // each file carrying unique patterned contents, reassembled
 // byte-identical while plain RPC reads interleave on the same
 // connections. A single crossed chunk anywhere changes some file's
-// bytes.
+// bytes. Two more phases race writers against the same file: streamed
+// reads against RPC overwrites, and two streamed writes against each
+// other; every reader and the final file must see exactly one whole
+// version.
 func TestStreamPropertyConcurrentIntegrity(t *testing.T) {
 	cl, _, _ := testCluster(t, 2, func(cfg *NodeConfig) { cfg.StripeChunkBytes = 32 << 10 })
 	const files = 10
@@ -363,6 +366,105 @@ func TestStreamPropertyConcurrentIntegrity(t *testing.T) {
 			t.FailNow()
 		}
 	}
+
+	// Streamed reads racing RPC overwrites of one non-striped file (every
+	// version is under the 32 KB stripe) each return exactly one version.
+	versions := make([][]byte, 8)
+	for v := range versions {
+		versions[v] = patternedContent(int64(200+v), 16<<10+rng.Intn(15<<10))
+	}
+	if err := cl.Create("race.dat", versions[0]); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for reads := 0; ; reads++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rd, err := cl.OpenRead("race.dat", StreamOptions{ChunkBytes: 4 << 10})
+				if err != nil {
+					errs <- fmt.Errorf("race read %d: open: %w", reads, err)
+					return
+				}
+				got, err := io.ReadAll(rd)
+				rd.Close()
+				if err != nil {
+					errs <- fmt.Errorf("race read %d: %w", reads, err)
+					return
+				}
+				if !matchesOne(got, versions) {
+					errs <- fmt.Errorf("race read %d: %d bytes match no written version", reads, len(got))
+					return
+				}
+			}
+		}()
+	}
+	for w := 1; w <= 200; w++ {
+		if _, err := cl.Write("race.dat", versions[w%len(versions)]); err != nil {
+			t.Errorf("overwrite %d: %v", w, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	// Two concurrent streamed writes of one file both commit, and the file
+	// ends as one of the two payloads. Each payload spans many one-chunk
+	// windows, so once Write returns the node has begun landing it: both
+	// writes are mid-flight before either commits.
+	payloads := [][]byte{patternedContent(300, 8<<10), patternedContent(301, 12<<10)}
+	if err := cl.Create("dup.dat", payloads[0]); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		var ws []*FileWriter
+		for _, p := range payloads {
+			w, err := cl.OpenWrite("dup.dat", int64(len(p)), StreamOptions{ChunkBytes: 512, Window: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws = append(ws, w)
+		}
+		for i, w := range ws {
+			if _, err := w.Write(payloads[i]); err != nil {
+				t.Fatalf("round %d: writer %d: %v", round, i, err)
+			}
+		}
+		for i, w := range ws {
+			if err := w.Close(); err != nil {
+				t.Errorf("round %d: writer %d commit: %v", round, i, err)
+			}
+		}
+		got, _, err := cl.Read("dup.dat")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchesOne(got, payloads) {
+			t.Fatalf("round %d: %d bytes after two streamed writes match neither payload", round, len(got))
+		}
+	}
+}
+
+// matchesOne reports whether got equals one of versions.
+func matchesOne(got []byte, versions [][]byte) bool {
+	for _, v := range versions {
+		if bytes.Equal(got, v) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestStreamReadAllocsFlat is the O(chunk) memory guard: streaming a
