@@ -15,7 +15,8 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the codecs (v1 + multiplexed v2 framing), the
-# stream demux, and the fault-injected frame path.
+# stream demux, the fault-injected frame path, and the node manifest and
+# server state decoders.
 fuzz:
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadFrame$$ -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadFrameID -fuzztime=15s
@@ -23,6 +24,8 @@ fuzz:
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzRepDecoders -fuzztime=15s
 	$(GO) test ./internal/proto -run=^$$ -fuzz=FuzzReadStreamFrames -fuzztime=15s
 	$(GO) test ./internal/faultnet -run=^$$ -fuzz=FuzzCorruptedFrames -fuzztime=15s
+	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeNodeManifest -fuzztime=15s
+	$(GO) test ./internal/fs -run=^$$ -fuzz=FuzzDecodeServerState -fuzztime=15s
 
 # Per-suite benchmark commands. The recording targets below and the
 # bench-compare gate invoke these SAME variables, so the suite a baseline

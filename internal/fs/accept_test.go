@@ -64,32 +64,44 @@ func TestAcceptConnsSurvivesTransientErrors(t *testing.T) {
 	}
 }
 
-// TestHintTableAggregates: the incremental per-file aggregate must match
-// what a full journal walk would have computed — counts, first/last
-// times, and absence below two observations.
+// TestHintTableAggregates: the per-id table's access aggregate (the input
+// of the inter-arrival hints) must match what a full journal walk would
+// have computed — counts, first/last times, nothing for an id never
+// accessed — and each slot carries the file's size beside it.
 func TestHintTableAggregates(t *testing.T) {
-	var ht hintTable
+	var tab idTable
 	// File 0: three accesses out of order; file 1: one access (no hint);
-	// file 2000 forces a chunk grow.
-	ht.note(0, 5.0)
-	ht.note(0, 1.0)
-	ht.note(0, 9.0)
-	ht.note(1, 3.0)
-	ht.note(2000, 0.0)
-	ht.note(2000, 4.0)
+	// file 2000 forces a chunk grow; file 3 has a size but no access.
+	tab.setSize(0, 100)
+	tab.setSize(3, 300)
+	tab.setSize(2000, 7)
+	tab.note(0, 5.0)
+	tab.note(0, 1.0)
+	tab.note(0, 9.0)
+	tab.note(1, 3.0)
+	tab.note(2000, 0.0)
+	tab.note(2000, 4.0)
 
 	type agg struct {
+		size        int64
 		count       int64
 		first, last float64
 	}
 	got := map[int64]agg{}
-	ht.each(4096, func(id, count int64, first, last float64) {
-		got[id] = agg{count, first, last}
+	tab.each(4096, func(id int64, st *idStat) {
+		a := agg{size: st.size.Load()}
+		if count, first, last, ok := st.accesses(); ok {
+			a.count, a.first, a.last = count, first, last
+		}
+		if a != (agg{}) {
+			got[id] = a
+		}
 	})
 	want := map[int64]agg{
-		0:    {3, 1.0, 9.0},
-		1:    {1, 3.0, 3.0},
-		2000: {2, 0.0, 4.0},
+		0:    {100, 3, 1.0, 9.0},
+		1:    {0, 1, 3.0, 3.0},
+		3:    {300, 0, 0, 0},
+		2000: {7, 2, 0.0, 4.0},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("visited %d files, want %d: %v", len(got), len(want), got)
@@ -101,7 +113,7 @@ func TestHintTableAggregates(t *testing.T) {
 	}
 	// A horizon below the populated ids must not visit them.
 	n := 0
-	ht.each(1, func(int64, int64, float64, float64) { n++ })
+	tab.each(1, func(int64, *idStat) { n++ })
 	if n != 1 {
 		t.Fatalf("horizon 1 visited %d files, want 1", n)
 	}

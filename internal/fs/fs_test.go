@@ -148,9 +148,9 @@ func TestRoundRobinPlacementAcrossNodes(t *testing.T) {
 		}
 	}
 	// Creation order alternates between the two nodes.
-	if nodes[0].meta.Len() != 2 || nodes[1].meta.Len() != 2 {
+	if len(nodes[0].Files()) != 2 || len(nodes[1].Files()) != 2 {
 		t.Fatalf("node file counts = %d/%d, want 2/2",
-			nodes[0].meta.Len(), nodes[1].meta.Len())
+			len(nodes[0].Files()), len(nodes[1].Files()))
 	}
 }
 
@@ -1006,23 +1006,27 @@ func TestHintsClearedByNonPositiveInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
+	if err := node.handleCreate(proto.NodeCreateReq{FileID: 1, Size: 10}); err != nil {
+		t.Fatal(err)
+	}
+	hint := func() float64 {
+		rec, ok := node.lookup(1, false)
+		if !ok {
+			t.Fatal("file 1 missing")
+		}
+		return rec.hint
+	}
 	node.handleHints(proto.NodeHintsReq{Hints: []proto.FileHint{
 		{FileID: 1, MeanIntervalSec: 2},
 	}})
-	node.mu.Lock()
-	v, ok := node.hints[1]
-	node.mu.Unlock()
-	if !ok || v != 2000 { // scaled by TimeScale
-		t.Fatalf("hint = %v, %v; want 2000 (scaled)", v, ok)
+	if v := hint(); v != 2000 { // scaled by TimeScale
+		t.Fatalf("hint = %v; want 2000 (scaled)", v)
 	}
 	node.handleHints(proto.NodeHintsReq{Hints: []proto.FileHint{
 		{FileID: 1, MeanIntervalSec: 0},
 	}})
-	node.mu.Lock()
-	_, ok = node.hints[1]
-	node.mu.Unlock()
-	if ok {
-		t.Fatal("zero-interval hint not cleared")
+	if v := hint(); v != 0 {
+		t.Fatalf("zero-interval hint not cleared: %v", v)
 	}
 }
 

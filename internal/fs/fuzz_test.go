@@ -38,6 +38,11 @@ func FuzzDecodeNodeManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		for _, fe := range m.Files {
+			if fe.Size <= 0 || fe.Disk < 0 {
+				t.Fatalf("decoder accepted file %+v", fe)
+			}
+		}
 		reEnc, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {
 			t.Fatalf("re-encoding accepted manifest: %v", err)

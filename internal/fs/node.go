@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,28 +125,37 @@ type nodeDisk struct {
 	curSpan  *telemetry.Span
 }
 
+// fileRec is the node's one record of a local file (the node half of
+// the two-level metadata, Section IV-D): placement and prefetch status,
+// whether the buffer disk holds an unflushed write, and the access
+// pattern the idle-window predictor reads.
+type fileRec struct {
+	metadata.NodeEntry
+	dirty    bool    // the buffer disk holds a write not yet on the data disks
+	hint     float64 // server-forwarded mean inter-arrival (model sec); 0 = none
+	last     float64 // model time of the last request, when accessed
+	accessed bool
+}
+
 // Node is a running storage-node daemon.
 type Node struct {
 	cfg    NodeConfig
 	clock  *Clock
 	ln     net.Listener
-	meta   *metadata.NodeMap
 	buffer *nodeDisk
 	data   []*nodeDisk
 	logger *log.Logger
 
-	mu         sync.Mutex
-	nextDisk   int             // round-robin cursor for file creation
-	dirty      map[int]int64   // fileID -> size awaiting flush to its data disk
-	hints      map[int]float64 // fileID -> mean inter-arrival (model sec)
-	lastAccess map[int]float64 // fileID -> model time of the last request
-	closing    bool
-	conns      map[net.Conn]struct{}
-	wg         sync.WaitGroup
-	hits       int64
-	misses     int64
-	bufWrites  int64
-	saveMu     sync.Mutex // serializes manifest saves
+	mu        sync.Mutex
+	files     map[int]*fileRec // the node's metadata, by file id
+	nextDisk  int              // round-robin cursor for file creation
+	closing   bool
+	conns     map[net.Conn]struct{}
+	wg        sync.WaitGroup
+	hits      int64
+	misses    int64
+	bufWrites int64
+	saveMu    sync.Mutex // serializes manifest saves
 
 	// Pre-resolved telemetry handles (all no-ops with a nil registry);
 	// hitsC/missesC/bufWritesC mirror the counters above into the
@@ -172,14 +182,11 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		cfg.WriteTimeout = 30 * time.Second
 	}
 	n := &Node{
-		cfg:        cfg,
-		clock:      NewClock(cfg.TimeScale),
-		meta:       metadata.NewNodeMap(),
-		logger:     cfg.Logger,
-		dirty:      make(map[int]int64),
-		hints:      make(map[int]float64),
-		lastAccess: make(map[int]float64),
-		conns:      make(map[net.Conn]struct{}),
+		cfg:    cfg,
+		clock:  NewClock(cfg.TimeScale),
+		logger: cfg.Logger,
+		files:  make(map[int]*fileRec),
+		conns:  make(map[net.Conn]struct{}),
 	}
 
 	n.met = newOpMetrics(cfg.Metrics, "node", []proto.Type{
@@ -246,14 +253,31 @@ func (n *Node) Addr() string { return n.ln.Addr().String() }
 // The simulation-testing harness uses it to cross-check the server's
 // placement records against what each node actually holds.
 func (n *Node) Files() []metadata.NodeEntry {
-	ids := n.meta.IDs()
-	out := make([]metadata.NodeEntry, 0, len(ids))
-	for _, id := range ids {
-		if e, ok := n.meta.Lookup(id); ok {
-			out = append(out, e)
-		}
+	n.mu.Lock()
+	out := make([]metadata.NodeEntry, 0, len(n.files))
+	for _, r := range n.files {
+		out = append(out, r.NodeEntry)
 	}
+	n.mu.Unlock()
+	slices.SortFunc(out, func(a, b metadata.NodeEntry) int { return a.ID - b.ID })
 	return out
+}
+
+// lookup returns a copy of a file's record. With stamp set it also
+// records a request against the file, in the same critical section: the
+// anchor the idle-window predictor extrapolates from.
+func (n *Node) lookup(id int64, stamp bool) (fileRec, bool) {
+	now := float64(n.clock.Now())
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	r, ok := n.files[int(id)]
+	if !ok {
+		return fileRec{}, false
+	}
+	if stamp {
+		r.last, r.accessed = now, true
+	}
+	return *r, true
 }
 
 // Close stops the daemon, flushes the write buffer, and waits for
@@ -631,16 +655,13 @@ func (n *Node) readSegs(segs []extent, ra reqAttrib) ([]byte, error) {
 	return out, nil
 }
 
-// readFrom serves one read of entry through read and counts it as a
-// buffer hit or miss. The buffer disk serves when it holds the newest
-// copy (a prefetched replica or an unflushed buffered write); the data
-// extents serve otherwise, and also when the buffer copy fails.
-func (n *Node) readFrom(entry metadata.NodeEntry, read func(segs []extent) error) (fromBuffer bool, err error) {
-	n.mu.Lock()
-	_, isDirty := n.dirty[entry.ID]
-	n.mu.Unlock()
-	if entry.Prefetched || isDirty {
-		err := read([]extent{n.bufferSeg(entry)})
+// readFrom serves one read of the file rec describes through read and
+// counts it as a buffer hit or miss. The buffer disk serves when it holds
+// the newest copy (a prefetched replica or an unflushed buffered write);
+// the data extents serve otherwise, and also when the buffer copy fails.
+func (n *Node) readFrom(rec fileRec, read func(segs []extent) error) (fromBuffer bool, err error) {
+	if rec.Prefetched || rec.dirty {
+		err := read([]extent{n.bufferSeg(rec.NodeEntry)})
 		if err == nil {
 			n.mu.Lock()
 			n.hits++
@@ -648,9 +669,9 @@ func (n *Node) readFrom(entry metadata.NodeEntry, read func(segs []extent) error
 			n.hitsC.Inc()
 			return true, nil
 		}
-		n.logger.Printf("buffer read of file %d failed, falling back: %v", entry.ID, err)
+		n.logger.Printf("buffer read of file %d failed, falling back: %v", rec.ID, err)
 	}
-	if err := read(n.dataSegs(entry)); err != nil {
+	if err := read(n.dataSegs(rec.NodeEntry)); err != nil {
 		return false, err
 	}
 	n.mu.Lock()
@@ -671,34 +692,35 @@ func (n *Node) writeTarget(entry metadata.NodeEntry, size int64) (segs []extent,
 	return n.dataSegs(entry), false
 }
 
-// afterWrite is the metadata step after a committed write of size bytes.
-// A buffered write joins the dirty map and the data disks stay asleep
-// until flush. A direct write supersedes any buffer-disk copy, so a stale
-// prefetched replica or unflushed log entry is dropped and reads cannot
-// see old content.
-func (n *Node) afterWrite(entry metadata.NodeEntry, size int64, buffered bool) {
+// afterWrite is the metadata step after a committed write of size bytes
+// to file id. A buffered write marks the file dirty and the data disks
+// stay asleep until flush. A direct write supersedes any buffer-disk
+// copy, so a stale prefetched replica or unflushed log entry is dropped
+// and reads cannot see old content. A file deleted meanwhile stays gone.
+func (n *Node) afterWrite(id int, size int64, buffered bool) {
 	n.mu.Lock()
-	_, wasDirty := n.dirty[entry.ID]
-	if buffered {
-		n.dirty[entry.ID] = size
-		n.bufWrites++
-	} else {
-		delete(n.dirty, entry.ID)
+	r, ok := n.files[id]
+	if !ok {
+		n.mu.Unlock()
+		return
 	}
+	stale := !buffered && (r.Prefetched || r.dirty)
+	resized := r.Size != size
+	r.Size, r.dirty = size, buffered
+	if stale {
+		r.Prefetched = false
+	}
+	if buffered {
+		n.bufWrites++
+	}
+	entry := r.NodeEntry
 	n.mu.Unlock()
-	stale := !buffered && (entry.Prefetched || wasDirty)
 	if buffered {
 		n.bufWritesC.Inc()
 	} else if stale {
-		n.meta.SetPrefetched(entry.ID, false)
-		entry.Prefetched = false
 		os.Remove(n.bufferSeg(entry).path)
 	}
-	if size != entry.Size {
-		entry.Size = size
-		_ = n.meta.Put(entry)
-	}
-	if buffered || stale {
+	if buffered || stale || resized {
 		n.saveManifest()
 	}
 }
@@ -707,49 +729,44 @@ func (n *Node) handleCreate(req proto.NodeCreateReq) error {
 	if req.Size <= 0 {
 		return fmt.Errorf("fs: create file %d with size %d", req.FileID, req.Size)
 	}
-	n.mu.Lock()
-	diskIdx := n.nextDisk % len(n.data)
-	n.nextDisk++
-	n.mu.Unlock()
 	// Creation order is popularity order (Section IV-A): the round-robin
 	// cursor load-balances popular files across the node's data disks.
-	if err := n.meta.Put(metadata.NodeEntry{
+	n.mu.Lock()
+	n.files[int(req.FileID)] = &fileRec{NodeEntry: metadata.NodeEntry{
 		ID:   int(req.FileID),
 		Size: req.Size,
-		Disk: diskIdx,
-	}); err != nil {
-		return err
-	}
+		Disk: n.nextDisk % len(n.data),
+	}}
+	n.nextDisk++
+	n.mu.Unlock()
 	n.saveManifest()
 	return nil
 }
 
 func (n *Node) handleWrite(req proto.NodeWriteReq, sp *telemetry.Span) (bool, error) {
-	entry, ok := n.meta.Lookup(int(req.FileID))
+	rec, ok := n.lookup(req.FileID, len(req.Data) > 0)
 	if !ok {
 		return false, fmt.Errorf("fs: write to unknown file %d", req.FileID)
 	}
 	if len(req.Data) == 0 {
 		return false, fmt.Errorf("fs: write of file %d with no data", req.FileID)
 	}
-	n.noteAccess(int(req.FileID))
 	size := int64(len(req.Data))
-	segs, buffered := n.writeTarget(entry, size)
+	segs, buffered := n.writeTarget(rec.NodeEntry, size)
 	if err := n.writeFile(segs, req.Data, spanAttrib(sp, req.FileID)); err != nil {
 		return false, err
 	}
-	n.afterWrite(entry, size, buffered)
+	n.afterWrite(rec.ID, size, buffered)
 	return buffered, nil
 }
 
 func (n *Node) handleRead(fileID int64, sp *telemetry.Span) (data []byte, fromBuffer bool, err error) {
-	entry, ok := n.meta.Lookup(int(fileID))
+	rec, ok := n.lookup(fileID, true)
 	if !ok {
 		return nil, false, fmt.Errorf("fs: read of unknown file %d", fileID)
 	}
-	n.noteAccess(int(fileID))
 	ra := spanAttrib(sp, fileID)
-	fromBuffer, err = n.readFrom(entry, func(segs []extent) (err error) {
+	fromBuffer, err = n.readFrom(rec, func(segs []extent) (err error) {
 		data, err = n.readSegs(segs, ra)
 		return err
 	})
@@ -760,33 +777,34 @@ func (n *Node) handleRead(fileID int64, sp *telemetry.Span) (data []byte, fromBu
 }
 
 func (n *Node) handleDelete(fileID int64) error {
-	entry, ok := n.meta.Lookup(int(fileID))
+	n.mu.Lock()
+	r, ok := n.files[int(fileID)]
+	delete(n.files, int(fileID))
+	n.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("fs: delete of unknown file %d", fileID)
 	}
-	n.mu.Lock()
-	delete(n.dirty, int(fileID))
-	n.mu.Unlock()
-	os.Remove(n.bufferSeg(entry).path)
-	for _, seg := range n.dataSegs(entry) {
+	os.Remove(n.bufferSeg(r.NodeEntry).path)
+	for _, seg := range n.dataSegs(r.NodeEntry) {
 		os.Remove(seg.path)
 	}
-	n.meta.Delete(int(fileID))
 	n.saveManifest()
 	return nil
 }
 
 // bufferHasRoom reports whether size more bytes fit in the buffer disk's
-// configured capacity (prefetched copies plus unflushed writes count
-// against it).
+// configured capacity. Every file with a buffer-disk copy (a prefetched
+// replica, an unflushed write, or both in one) counts its size once.
 func (n *Node) bufferHasRoom(size int64) bool {
 	if n.cfg.BufferCapacityBytes <= 0 {
 		return true
 	}
-	used := n.meta.PrefetchedBytes()
+	used := int64(0)
 	n.mu.Lock()
-	for _, sz := range n.dirty {
-		used += sz
+	for _, r := range n.files {
+		if r.Prefetched || r.dirty {
+			used += r.Size
+		}
 	}
 	n.mu.Unlock()
 	return used+size <= n.cfg.BufferCapacityBytes
@@ -800,28 +818,26 @@ func (n *Node) bufferHasRoom(size int64) bool {
 func (n *Node) handlePrefetch(ids []int64, sp *telemetry.Span) int64 {
 	var count int64
 	for _, id := range ids {
-		entry, ok := n.meta.Lookup(int(id))
+		rec, ok := n.lookup(id, false)
 		if !ok {
 			continue
 		}
-		if entry.Prefetched {
+		if rec.Prefetched {
 			count++
 			continue
 		}
-		if !n.bufferHasRoom(entry.Size) {
+		if !n.bufferHasRoom(rec.Size) {
 			continue
 		}
 		// An unflushed buffered write means the data disks do not hold
 		// the newest (or any) content yet; settle it first.
-		n.mu.Lock()
-		_, isDirty := n.dirty[int(id)]
-		n.mu.Unlock()
-		if isDirty {
+		if rec.dirty {
 			n.flushOne(int(id))
-			if entry, ok = n.meta.Lookup(int(id)); !ok {
+			if rec, ok = n.lookup(id, false); !ok {
 				continue
 			}
 		}
+		entry := rec.NodeEntry
 		ra := spanAttrib(sp, id)
 		data, err := n.readSegs(n.dataSegs(entry), ra)
 		if err != nil {
@@ -832,7 +848,11 @@ func (n *Node) handlePrefetch(ids []int64, sp *telemetry.Span) int64 {
 			n.logger.Printf("prefetch write of file %d failed: %v", id, err)
 			continue
 		}
-		n.meta.SetPrefetched(int(id), true)
+		n.mu.Lock()
+		if r, ok := n.files[int(id)]; ok {
+			r.Prefetched = true
+		}
+		n.mu.Unlock()
 		count++
 	}
 	if count > 0 {
@@ -845,10 +865,11 @@ func (n *Node) handlePrefetch(ids []int64, sp *telemetry.Span) int64 {
 // or dirty) are sliced from the buffer disk; otherwise only the stripe
 // chunks overlapping the range touch their data disks.
 func (n *Node) handleReadAt(req proto.NodeReadAtReq, sp *telemetry.Span) ([]byte, bool, error) {
-	entry, ok := n.meta.Lookup(int(req.FileID))
+	rec, ok := n.lookup(req.FileID, false)
 	if !ok {
 		return nil, false, fmt.Errorf("fs: read of unknown file %d", req.FileID)
 	}
+	entry := rec.NodeEntry
 	if req.Offset < 0 || req.Length < 0 || req.Offset+req.Length > entry.Size {
 		return nil, false, fmt.Errorf("fs: range [%d,%d) outside file %d of %d bytes",
 			req.Offset, req.Offset+req.Length, req.FileID, entry.Size)
@@ -859,7 +880,7 @@ func (n *Node) handleReadAt(req proto.NodeReadAtReq, sp *telemetry.Span) ([]byte
 
 	ra := spanAttrib(sp, req.FileID)
 	var out []byte
-	fromBuffer, err := n.readFrom(entry, func(segs []extent) error {
+	fromBuffer, err := n.readFrom(rec, func(segs []extent) error {
 		// Visit only the extents the range overlaps.
 		out = nil
 		lo, hi := req.Offset, req.Offset+req.Length
@@ -913,27 +934,20 @@ func (n *Node) diskReadAt(seg extent, off, length int64, ra reqAttrib) (data []b
 // handleHints installs the server-forwarded access patterns
 // (Section IV-C). Intervals arrive in real (wall-clock) seconds — the
 // server observes real time — and are converted to this node's model
-// time. A non-positive interval clears a file's hint.
+// time. A non-positive interval clears a file's hint. Hints for files
+// the node does not hold are dropped.
 func (n *Node) handleHints(req proto.NodeHintsReq) {
 	scale := n.clock.Scale()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, h := range req.Hints {
-		if h.MeanIntervalSec > 0 {
-			n.hints[int(h.FileID)] = h.MeanIntervalSec * scale
-		} else {
-			delete(n.hints, int(h.FileID))
+		if r, ok := n.files[int(h.FileID)]; ok {
+			r.hint = 0
+			if h.MeanIntervalSec > 0 {
+				r.hint = h.MeanIntervalSec * scale
+			}
 		}
 	}
-}
-
-// noteAccess timestamps a file's most recent request (model time), the
-// anchor the idle-window predictor extrapolates from.
-func (n *Node) noteAccess(fileID int) {
-	now := float64(n.clock.Now())
-	n.mu.Lock()
-	n.lastAccess[fileID] = now
-	n.mu.Unlock()
 }
 
 // predictedGap estimates how long the given data disk will stay idle:
@@ -946,22 +960,15 @@ func (n *Node) predictedGap(diskIdx int) (float64, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	next, have := 0.0, false
-	for _, id := range n.meta.FilesOnDisk(diskIdx) {
-		interval, hinted := n.hints[id]
-		if !hinted {
+	for _, r := range n.files {
+		if r.Disk != diskIdx || r.hint <= 0 || r.Prefetched || r.dirty {
 			continue
 		}
-		if e, ok := n.meta.Lookup(id); ok && e.Prefetched {
-			continue
+		last := now
+		if r.accessed {
+			last = r.last
 		}
-		if _, dirtyHere := n.dirty[id]; dirtyHere {
-			continue
-		}
-		last, seen := n.lastAccess[id]
-		if !seen {
-			last = now
-		}
-		t := last + interval
+		t := last + r.hint
 		if t < now {
 			t = now
 		}
@@ -978,10 +985,12 @@ func (n *Node) predictedGap(diskIdx int) (float64, bool) {
 // flushAll copies every dirty buffered write to its data disk (runs on
 // shutdown).
 func (n *Node) flushAll() {
+	var ids []int
 	n.mu.Lock()
-	ids := make([]int, 0, len(n.dirty))
-	for id := range n.dirty {
-		ids = append(ids, id)
+	for id, r := range n.files {
+		if r.dirty {
+			ids = append(ids, id)
+		}
 	}
 	n.mu.Unlock()
 	for _, id := range ids {
@@ -990,10 +999,11 @@ func (n *Node) flushAll() {
 }
 
 func (n *Node) flushOne(id int) {
-	entry, ok := n.meta.Lookup(id)
+	rec, ok := n.lookup(int64(id), false)
 	if !ok {
 		return
 	}
+	entry := rec.NodeEntry
 	buf := n.bufferSeg(entry)
 	data, err := n.diskRead(buf, reqAttrib{})
 	if err != nil {
@@ -1005,12 +1015,16 @@ func (n *Node) flushOne(id int) {
 		n.logger.Printf("flush write of file %d failed: %v", id, err)
 		return
 	}
+	keep := false
 	n.mu.Lock()
-	delete(n.dirty, id)
+	if r, ok := n.files[id]; ok {
+		r.dirty = false
+		keep = r.Prefetched
+	}
 	n.mu.Unlock()
 	n.flushesC.Inc()
 	// Drop the buffer copy unless it doubles as a prefetched replica.
-	if !entry.Prefetched {
+	if !keep {
 		os.Remove(buf.path)
 	}
 	n.saveManifest()

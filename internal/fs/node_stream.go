@@ -46,11 +46,10 @@ func (n *Node) dispatchStream(t proto.Type, payload []byte, sc telemetry.SpanCon
 // end. One pooled chunk buffer is resident per stream regardless of file
 // size.
 func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st *srvStream) error {
-	entry, ok := n.meta.Lookup(int(req.FileID))
+	rec, ok := n.lookup(req.FileID, true)
 	if !ok {
 		return fmt.Errorf("fs: read of unknown file %d", req.FileID)
 	}
-	n.noteAccess(int(req.FileID))
 	ra := spanAttrib(sp, req.FileID)
 
 	// Open every extent before the first byte moves. An open file keeps
@@ -66,7 +65,7 @@ func (n *Node) handleStreamRead(req proto.StreamOpenReq, sp *telemetry.Span, st 
 		files = nil
 	}
 	defer closeAll()
-	fromBuffer, err := n.readFrom(entry, func(src []extent) error {
+	fromBuffer, err := n.readFrom(rec, func(src []extent) error {
 		closeAll() // a failed buffer attempt's files
 		segs = src
 		for i := range src {
@@ -136,13 +135,12 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 	if req.Size <= 0 {
 		return fmt.Errorf("fs: stream write of file %d with size %d", req.FileID, req.Size)
 	}
-	entry, ok := n.meta.Lookup(int(req.FileID))
+	rec, ok := n.lookup(req.FileID, true)
 	if !ok {
 		return fmt.Errorf("fs: write to unknown file %d", req.FileID)
 	}
-	n.noteAccess(int(req.FileID))
 	ra := spanAttrib(sp, req.FileID)
-	segs, buffered := n.writeTarget(entry, req.Size)
+	segs, buffered := n.writeTarget(rec.NodeEntry, req.Size)
 	for _, seg := range segs {
 		n.chargeDisk(seg.nd, seg.size, seg.nd.isBuffer, ra, "disk.stream.write")
 	}
@@ -199,7 +197,7 @@ func (n *Node) handleStreamWrite(req proto.StreamOpenReq, sp *telemetry.Span, st
 			if err := w.commit(); err != nil {
 				return err
 			}
-			n.afterWrite(entry, req.Size, buffered)
+			n.afterWrite(rec.ID, req.Size, buffered)
 			sp.Annotate("stream.bytes", fmt.Sprint(received))
 			return st.sendEnd(buffered)
 		case proto.TStreamAbort:

@@ -51,18 +51,15 @@ func (n *Node) saveManifest() {
 	defer n.saveMu.Unlock()
 	n.mu.Lock()
 	m := nodeManifest{Version: manifestVersion, NextDisk: n.nextDisk}
-	for id, size := range n.dirty {
-		m.Dirty = append(m.Dirty, dirtyEntry{ID: id, Size: size})
-	}
-	n.mu.Unlock()
-
-	for _, id := range n.meta.IDs() {
-		if e, ok := n.meta.Lookup(id); ok {
-			m.Files = append(m.Files, nodeFileEntry{
-				ID: e.ID, Size: e.Size, Disk: e.Disk, Prefetched: e.Prefetched,
-			})
+	for _, r := range n.files {
+		m.Files = append(m.Files, nodeFileEntry{
+			ID: r.ID, Size: r.Size, Disk: r.Disk, Prefetched: r.Prefetched,
+		})
+		if r.dirty {
+			m.Dirty = append(m.Dirty, dirtyEntry{ID: r.ID, Size: r.Size})
 		}
 	}
+	n.mu.Unlock()
 	sort.Slice(m.Files, func(i, j int) bool { return m.Files[i].ID < m.Files[j].ID })
 	sort.Slice(m.Dirty, func(i, j int) bool { return m.Dirty[i].ID < m.Dirty[j].ID })
 
@@ -71,8 +68,9 @@ func (n *Node) saveManifest() {
 	}
 }
 
-// decodeNodeManifest parses and version-checks a node manifest. Split
-// from loadManifest so the decode path is directly fuzzable.
+// decodeNodeManifest parses and checks a node manifest: its version, and
+// that every file has a positive size and a non-negative disk. Split from
+// loadManifest so the decode path is directly fuzzable.
 func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 	var m nodeManifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -80,6 +78,14 @@ func decodeNodeManifest(raw []byte) (nodeManifest, error) {
 	}
 	if m.Version != manifestVersion {
 		return nodeManifest{}, fmt.Errorf("fs: manifest version %d unsupported", m.Version)
+	}
+	for _, f := range m.Files {
+		if f.Size <= 0 {
+			return nodeManifest{}, fmt.Errorf("fs: manifest file %d has non-positive size %d", f.ID, f.Size)
+		}
+		if f.Disk < 0 {
+			return nodeManifest{}, fmt.Errorf("fs: manifest file %d has negative disk %d", f.ID, f.Disk)
+		}
 	}
 	return m, nil
 }
@@ -98,22 +104,24 @@ func (n *Node) loadManifest() error {
 	if err != nil {
 		return fmt.Errorf("fs: corrupt manifest %s: %w", n.manifestPath(), err)
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, f := range m.Files {
 		if f.Disk >= n.cfg.DataDisks {
 			return fmt.Errorf("fs: manifest file %d on disk %d, node has %d", f.ID, f.Disk, n.cfg.DataDisks)
 		}
-		if err := n.meta.Put(metadata.NodeEntry{
+		n.files[f.ID] = &fileRec{NodeEntry: metadata.NodeEntry{
 			ID: f.ID, Size: f.Size, Disk: f.Disk, Prefetched: f.Prefetched,
-		}); err != nil {
-			return err
+		}}
+	}
+	// A dirty entry marks its file; the size it repeats is the file's.
+	// An entry for a file the manifest does not list has nothing to flush.
+	for _, d := range m.Dirty {
+		if r, ok := n.files[d.ID]; ok {
+			r.dirty = true
 		}
 	}
-	n.mu.Lock()
 	n.nextDisk = m.NextDisk
-	for _, d := range m.Dirty {
-		n.dirty[d.ID] = d.Size
-	}
-	n.mu.Unlock()
 	return nil
 }
 
@@ -217,7 +225,7 @@ func (s *Server) loadState() error {
 	}
 	for _, f := range st.Files {
 		if f.ID >= 0 && int64(f.ID) < st.NextID {
-			s.sizes.set(int64(f.ID), f.Size)
+			s.ids.setSize(int64(f.ID), f.Size)
 		}
 	}
 	return nil

@@ -336,7 +336,7 @@ func (s *Server) applyOpLocked(op proto.RepOp) error {
 		if op.Cursor > s.nextNode.Load() {
 			s.nextNode.Store(op.Cursor)
 		}
-		s.sizes.set(op.ID, op.Size)
+		s.ids.setSize(op.ID, op.Size)
 		return s.meta.Put(metadata.FileInfo{
 			Name: op.Name, ID: int(op.ID), Size: op.Size,
 			Node: int(op.Node), Replica: int(op.Replica),
@@ -409,7 +409,7 @@ func (s *Server) handleRepSnapshot(snap proto.RepSnapshot) error {
 		}); err != nil {
 			return err
 		}
-		s.sizes.set(f.ID, f.Size)
+		s.ids.setSize(f.ID, f.Size)
 	}
 	s.nextID.Store(snap.NextID)
 	s.nextNode.Store(snap.NextNode)

@@ -132,25 +132,28 @@ var errStreamConnDead = errors.New("fs: stream connection closed")
 // on recv (bounded; overflow is a peer credit violation that tears the
 // connection down); outbound frames go through the connection's shared
 // write mutex. credits tracks the send allowance granted by the peer.
+// release frees the stream's slot in the connection's stream cap.
 type srvStream struct {
-	id   uint32
-	w    io.Writer
-	wmu  *sync.Mutex
-	conn net.Conn
-	recv chan srvMsg
-	done chan struct{}
+	id      uint32
+	w       io.Writer
+	wmu     *sync.Mutex
+	conn    net.Conn
+	recv    chan srvMsg
+	done    chan struct{}
+	release func()
 
 	mu      sync.Mutex
 	err     error
 	credits int
 }
 
-func newSrvStream(id uint32, w io.Writer, wmu *sync.Mutex, conn net.Conn) *srvStream {
+func newSrvStream(id uint32, w io.Writer, wmu *sync.Mutex, conn net.Conn, release func()) *srvStream {
 	return &srvStream{
-		id:   id,
-		w:    w,
-		wmu:  wmu,
-		conn: conn,
+		id:      id,
+		w:       w,
+		wmu:     wmu,
+		conn:    conn,
+		release: release,
 		// The queue must absorb a full credit window of data frames plus
 		// interleaved control frames; overflow means the peer ignored the
 		// window we granted.
@@ -304,14 +307,19 @@ func (st *srvStream) waitCredit(timeout time.Duration) error {
 	}
 }
 
-// sendEnd terminates the stream cleanly.
+// sendEnd terminates the stream cleanly. The stream's slot is freed
+// before the terminal frame goes out, so a peer that opens its next
+// stream on seeing the end is never refused for the one that just ended.
 func (st *srvStream) sendEnd(buffered bool) error {
+	st.release()
 	return st.sendFrame(proto.TStreamEnd, proto.StreamEnd{Buffered: buffered}.Encode())
 }
 
 // sendAbort terminates the stream with a typed failure; the connection
-// and its other streams stay healthy.
+// and its other streams stay healthy. Like sendEnd, it frees the slot
+// first.
 func (st *srvStream) sendAbort(err error) {
+	st.release()
 	_ = st.sendFrame(proto.TStreamAbort, errorPayload(err))
 }
 
@@ -423,7 +431,7 @@ func serveV2(conn net.Conn, w io.Writer, handle handlerFunc, shandle streamHandl
 				}
 				continue
 			}
-			st := newSrvStream(id, w, &writeMu, conn)
+			st := newSrvStream(id, w, &writeMu, conn, func() { dropStream(id) })
 			ok, dup := addStream(st)
 			if dup {
 				// Duplicate open for a live id: protocol violation.

@@ -210,8 +210,7 @@ type Server struct {
 	churnDropped *telemetry.Counter
 
 	accesses trace.AtomicLog
-	sizes    sizeTable    // per file id (dense); slots survive deletes
-	hints    hintTable    // per file id incremental {count, first, last}
+	ids      idTable      // per file id (dense): size and access aggregate
 	nextID   atomic.Int64 // next file id
 	nextNode atomic.Int64 // placement round-robin cursor
 
@@ -644,7 +643,7 @@ func (s *Server) handleCreate(req proto.CreateReq, sp *telemetry.Span) (proto.Cr
 		return proto.CreateResp{}, err
 	}
 	id := s.nextID.Add(1) - 1
-	s.sizes.set(id, req.Size)
+	s.ids.setSize(id, req.Size)
 
 	claimed, err := s.meta.PutIfAbsent(metadata.FileInfo{
 		Name: req.Name, ID: int(id), Size: req.Size, Node: nodeIdx,
@@ -753,9 +752,9 @@ func (s *Server) journalAccess(fi metadata.FileInfo) {
 }
 
 // recordAccess appends one popularity record and folds it into the
-// incremental hint aggregate; every append into the access journal —
-// live lookups, replicated epochs, snapshot installs — must go through
-// here so the two views never diverge.
+// per-id table; every append into the access journal — live lookups,
+// replicated epochs, snapshot installs — must go through here so the
+// journal and the table never diverge.
 func (s *Server) recordAccess(fileID int, timeS float64, size int64) {
 	s.accesses.Append(trace.Record{ // Seq is assigned atomically by the log
 		TimeS:  timeS,
@@ -763,7 +762,7 @@ func (s *Server) recordAccess(fileID int, timeS float64, size int64) {
 		FileID: fileID,
 		Size:   size,
 	})
-	s.hints.note(int64(fileID), timeS)
+	s.ids.note(int64(fileID), timeS)
 }
 
 // churnLoop is the single consumer of churnCh: it scores each observed
@@ -873,14 +872,7 @@ func (s *Server) handlePrefetch(k int, sp *telemetry.Span) (int64, error) {
 	// first: if this primary dies right after prefetching, its successor
 	// ranks files from the same evidence.
 	s.flushAccessEpoch()
-	// Consistent-enough snapshot without any lock: load the id horizon
-	// first, then counts and sizes. A file created after the horizon load
-	// simply misses this prefetch round; a file mid-create reads count 0
-	// and is never selected (Select skips zero-count files).
-	numFiles := s.nextID.Load()
-	counts := s.accesses.Counts(int(numFiles))
-	sizes := s.sizes.snapshot(numFiles)
-
+	counts, sizes := s.popularity()
 	ids, err := prefetch.Select(counts, sizes, k, 0)
 	if err != nil {
 		return 0, err
@@ -893,6 +885,22 @@ func (s *Server) handlePrefetch(k int, sp *telemetry.Span) (int64, error) {
 		s.noteBuffered(ids)
 	}
 	return total, err
+}
+
+// popularity reads every file's access count and size from the per-id
+// table in one pass, without any lock: it loads the id horizon first, so
+// a file created after the load simply misses this prefetch round, and a
+// file mid-create reads count 0 and is never selected (Select skips
+// zero-count files).
+func (s *Server) popularity() (counts []int, sizes []int64) {
+	numFiles := s.nextID.Load()
+	counts = make([]int, numFiles)
+	sizes = make([]int64, numFiles)
+	s.ids.each(numFiles, func(id int64, st *idStat) {
+		counts[id] = int(st.count.Load())
+		sizes[id] = st.size.Load()
+	})
+	return counts, sizes
 }
 
 // commandPrefetch groups the selected ids by owning node, commands each
@@ -1083,14 +1091,15 @@ func (s *Server) copyToMirror(fi metadata.FileInfo, mirror int, sp *telemetry.Sp
 }
 
 // hintsPerNode derives each file's mean request inter-arrival from the
-// incremental hint aggregate and groups the hints by owning node —
+// per-id access aggregate and groups the hints by owning node —
 // O(number of files), not O(length of the access history) as the
 // original whole-journal walk was. Files seen fewer than twice yield no
 // estimate.
 func (s *Server) hintsPerNode() map[int][]proto.FileHint {
 	out := make(map[int][]proto.FileHint)
-	s.hints.each(s.nextID.Load(), func(id, count int64, first, last float64) {
-		if count < 2 || last <= first {
+	s.ids.each(s.nextID.Load(), func(id int64, st *idStat) {
+		count, first, last, ok := st.accesses()
+		if !ok || count < 2 || last <= first {
 			return
 		}
 		fi, ok := s.meta.LookupID(int(id))

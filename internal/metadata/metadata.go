@@ -134,123 +134,3 @@ type NodeEntry struct {
 	Disk       int  // data-disk index inside the node
 	Prefetched bool // a copy lives on the buffer disk
 }
-
-// NodeMap is one storage node's local metadata: file id -> disk placement
-// and prefetch status. Safe for concurrent use.
-type NodeMap struct {
-	mu      sync.RWMutex
-	entries map[int]NodeEntry
-}
-
-// NewNodeMap returns an empty node metadata map.
-func NewNodeMap() *NodeMap {
-	return &NodeMap{entries: make(map[int]NodeEntry)}
-}
-
-// Put inserts or replaces an entry.
-func (m *NodeMap) Put(e NodeEntry) error {
-	if e.Size <= 0 {
-		return fmt.Errorf("metadata: node entry for file %d has non-positive size %d", e.ID, e.Size)
-	}
-	if e.Disk < 0 {
-		return fmt.Errorf("metadata: node entry for file %d has negative disk %d", e.ID, e.Disk)
-	}
-	m.mu.Lock()
-	m.entries[e.ID] = e
-	m.mu.Unlock()
-	return nil
-}
-
-// Lookup returns the entry for a file id.
-func (m *NodeMap) Lookup(id int) (NodeEntry, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	e, ok := m.entries[id]
-	return e, ok
-}
-
-// SetPrefetched marks or clears the buffer-disk copy flag. It returns
-// false if the file is unknown to this node.
-func (m *NodeMap) SetPrefetched(id int, v bool) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[id]
-	if !ok {
-		return false
-	}
-	e.Prefetched = v
-	m.entries[id] = e
-	return true
-}
-
-// Delete removes an entry; it returns false if absent.
-func (m *NodeMap) Delete(id int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.entries[id]; !ok {
-		return false
-	}
-	delete(m.entries, id)
-	return true
-}
-
-// Len returns the number of local files.
-func (m *NodeMap) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.entries)
-}
-
-// PrefetchedIDs returns the ids with a buffer-disk copy, sorted.
-func (m *NodeMap) PrefetchedIDs() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var ids []int
-	for id, e := range m.entries {
-		if e.Prefetched {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// FilesOnDisk returns the ids stored on the given data disk, sorted.
-func (m *NodeMap) FilesOnDisk(disk int) []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var ids []int
-	for id, e := range m.entries {
-		if e.Disk == disk {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// PrefetchedBytes returns the total size of buffer-disk copies — the
-// buffer disk's occupancy, which the write-buffer logic needs to know.
-func (m *NodeMap) PrefetchedBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var total int64
-	for _, e := range m.entries {
-		if e.Prefetched {
-			total += e.Size
-		}
-	}
-	return total
-}
-
-// IDs returns all file ids known to the node, sorted.
-func (m *NodeMap) IDs() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	ids := make([]int, 0, len(m.entries))
-	for id := range m.entries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}

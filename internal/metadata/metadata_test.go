@@ -128,106 +128,3 @@ func TestServerMapConcurrentAccess(t *testing.T) {
 		t.Fatalf("Len = %d, want 1600", m.Len())
 	}
 }
-
-func TestNodeMapBasics(t *testing.T) {
-	m := NewNodeMap()
-	e := NodeEntry{ID: 3, Size: 50, Disk: 1}
-	if err := m.Put(e); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := m.Lookup(3)
-	if !ok || got != e {
-		t.Fatalf("Lookup = %+v, %v", got, ok)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if _, ok := m.Lookup(99); ok {
-		t.Error("missing id found")
-	}
-}
-
-func TestNodeMapValidation(t *testing.T) {
-	m := NewNodeMap()
-	if err := m.Put(NodeEntry{ID: 1, Size: 0, Disk: 0}); err == nil {
-		t.Error("zero size accepted")
-	}
-	if err := m.Put(NodeEntry{ID: 1, Size: 1, Disk: -1}); err == nil {
-		t.Error("negative disk accepted")
-	}
-}
-
-func TestNodeMapPrefetchFlag(t *testing.T) {
-	m := NewNodeMap()
-	if m.SetPrefetched(1, true) {
-		t.Error("SetPrefetched on missing id returned true")
-	}
-	for i := 0; i < 4; i++ {
-		if err := m.Put(NodeEntry{ID: i, Size: int64(10 * (i + 1)), Disk: i % 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.SetPrefetched(1, true)
-	m.SetPrefetched(3, true)
-	if got := m.PrefetchedIDs(); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Errorf("PrefetchedIDs = %v", got)
-	}
-	if got := m.PrefetchedBytes(); got != 20+40 {
-		t.Errorf("PrefetchedBytes = %d, want 60", got)
-	}
-	m.SetPrefetched(1, false)
-	if got := m.PrefetchedIDs(); !reflect.DeepEqual(got, []int{3}) {
-		t.Errorf("after clear PrefetchedIDs = %v", got)
-	}
-}
-
-func TestNodeMapFilesOnDisk(t *testing.T) {
-	m := NewNodeMap()
-	for i := 0; i < 6; i++ {
-		if err := m.Put(NodeEntry{ID: i, Size: 1, Disk: i % 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.FilesOnDisk(1); !reflect.DeepEqual(got, []int{1, 4}) {
-		t.Errorf("FilesOnDisk(1) = %v", got)
-	}
-	if got := m.FilesOnDisk(9); got != nil {
-		t.Errorf("FilesOnDisk(9) = %v, want nil", got)
-	}
-}
-
-func TestNodeMapDelete(t *testing.T) {
-	m := NewNodeMap()
-	if m.Delete(1) {
-		t.Error("deleting missing entry returned true")
-	}
-	if err := m.Put(NodeEntry{ID: 1, Size: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Delete(1) || m.Len() != 0 {
-		t.Error("delete failed")
-	}
-}
-
-func TestNodeMapConcurrent(t *testing.T) {
-	m := NewNodeMap()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				id := g*1000 + i
-				if err := m.Put(NodeEntry{ID: id, Size: 1, Disk: id % 2}); err != nil {
-					t.Error(err)
-					return
-				}
-				m.SetPrefetched(id, true)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if m.Len() != 1600 || len(m.PrefetchedIDs()) != 1600 {
-		t.Fatalf("Len = %d Prefetched = %d, want 1600", m.Len(), len(m.PrefetchedIDs()))
-	}
-}
